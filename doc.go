@@ -152,9 +152,12 @@
 // seeder bit, then torrent ID, then IP; each opened segment rewrites
 // the IP predicate into a segment-local intern-index bitset) — then
 // partitions the surviving segments across scan workers
-// (Lake.WithWorkers; default GOMAXPROCS), one collector per worker,
-// merged deterministically and finished under one total row order, so
-// results are byte-identical for every worker count. Lake.Explain
+// (Lake.WithWorkers; default GOMAXPROCS) that decode and match them in
+// parallel, each matched segment feeding one collector as a batch. The
+// collector remaps a batch's intern indices to dense per-query address
+// IDs once per distinct address, keeps distinct-IP sets as bitsets
+// over those IDs, and finishes under one total row order, so results
+// are byte-identical for every worker count. Lake.Explain
 // (btpub-query -explain) reports the plan — predicate order, per-stage
 // segment pruning, worker count — without executing. Grouped rows
 // order deterministically (OrderBy field, then key), paginate via

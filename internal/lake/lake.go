@@ -836,14 +836,23 @@ func (lk *Lake) MaterializeVersion(ctx context.Context, pred Predicate) (*datase
 	}
 	raw.Users = users
 
+	// Segment intern indices are remapped into the store's table on first
+	// use, so the table fills in row order exactly as per-row interning
+	// would, with one string-map probe per distinct address per batch.
 	var mu sync.Mutex
+	var remap []uint32 // segment intern index -> 1 + store index (0 = unseen)
 	err = lk.scanManifest(ctx, man, pred, 0, func(_ int, b *Batch) error {
 		mu.Lock()
 		defer mu.Unlock()
 		store := &raw.Obs
-		ips := store.IPs()
+		seg := b.IPs()
+		remap = append(remap[:0], make([]uint32, len(seg))...)
 		for k := 0; k < b.Len(); k++ {
-			store.AppendRaw(int32(b.TorrentID(k)), ips.InternString(b.IP(k)), b.UnixNano(k), b.Seeder(k))
+			i := b.IPIndex(k)
+			if remap[i] == 0 {
+				remap[i] = store.IPs().InternString(seg[i]) + 1
+			}
+			store.AppendRaw(int32(b.TorrentID(k)), remap[i]-1, b.UnixNano(k), b.Seeder(k))
 		}
 		return nil
 	})

@@ -273,6 +273,15 @@ func (b *Batch) TorrentID(k int) int { return int(b.seg.tids[b.rows[k]]) }
 // IP returns match k's address string (interned per segment).
 func (b *Batch) IP(k int) string { return b.seg.ips[b.seg.ipIdx[b.rows[k]]] }
 
+// IPIndex returns match k's index into the segment's intern table
+// (IPs). Callers that key state by address remap these indices once per
+// batch instead of hashing an address string per row.
+func (b *Batch) IPIndex(k int) uint32 { return b.seg.ipIdx[b.rows[k]] }
+
+// IPs returns the segment's address intern table, which IPIndex indexes.
+// Callers must not modify it.
+func (b *Batch) IPs() []string { return b.seg.ips }
+
 // UnixNano returns match k's timestamp in unix nanoseconds.
 func (b *Batch) UnixNano(k int) int64 { return b.seg.atNs[b.rows[k]] }
 

@@ -22,8 +22,8 @@ import (
 // many-segment lake, shared by every equivalence assertion. The lake
 // executor is held in all three parallelism shapes the engine supports:
 // serial (one worker), default (GOMAXPROCS) and explicitly parallel
-// (more workers than this machine has cores, so the merge path is
-// exercised even on small runners).
+// (more workers than this machine has cores, so concurrent decodes
+// contend for the shared collector even on small runners).
 type campaignFixture struct {
 	ds  *dataset.Dataset
 	lk  *lake.Lake
@@ -226,6 +226,23 @@ func TestExecutorEquivalence(t *testing.T) {
 			GroupBy: query.GroupBy{Key: query.ByISP},
 			Aggs:    []string{query.AggObservations, query.AggDistinctIPs},
 		}},
+		{"isp-filter-by-torrent", query.Query{
+			// The ISP filter and nothing else resolves geo: the per-address
+			// memo serves the filter while the key comes from the torrent.
+			Filter:  query.Filter{ISPs: []string{isp}},
+			GroupBy: query.GroupBy{Key: query.ByTorrent},
+			Aggs:    []string{query.AggObservations, query.AggDistinctIPs},
+			OrderBy: query.OrderBy{Field: query.AggDistinctIPs, Desc: true},
+		}},
+		{"by-country-distinct", query.Query{
+			GroupBy: query.GroupBy{Key: query.ByCountry},
+			Aggs:    []string{query.AggObservations, query.AggDistinctIPs},
+		}},
+		{"by-content-type-distinct", query.Query{
+			GroupBy: query.GroupBy{Key: query.ByContentType},
+			Aggs:    []string{query.AggDistinctIPs, query.AggSeeders},
+			OrderBy: query.OrderBy{Field: query.AggDistinctIPs, Desc: true},
+		}},
 		{"country-filter", query.Query{
 			Filter:  query.Filter{Countries: []string{country}},
 			GroupBy: query.GroupBy{Key: query.ByCountry},
@@ -272,6 +289,7 @@ func TestExecutorEquivalence(t *testing.T) {
 
 	ctx := context.Background()
 	nonEmpty := 0
+	var maxDistinct int64
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := mustJSON(t, exec(t, f.mem, ctx, tc.q))
@@ -289,10 +307,18 @@ func TestExecutorEquivalence(t *testing.T) {
 			} else {
 				t.Logf("case %q matched nothing", tc.name)
 			}
+			for _, g := range res.Groups {
+				maxDistinct = max(maxDistinct, g.Aggs[query.AggDistinctIPs])
+			}
 		})
 	}
 	if nonEmpty < len(cases)-2 { // only the two no-match cases may be empty
 		t.Errorf("only %d/%d cases matched data — fixture too sparse for a meaningful gate", nonEmpty, len(cases))
+	}
+	// Distinct-IP sets are bitsets of 64-bit words: a count past 64 shows
+	// a set spanning several words.
+	if maxDistinct <= 64 {
+		t.Errorf("largest distinct-IP count is %d — no set crosses a bitset word boundary", maxDistinct)
 	}
 }
 

@@ -1,8 +1,8 @@
-// The execution core shared by both executors: a compiled plan, an
-// environment resolving observation context (torrent metadata, peer
-// geo), and a collector that turns filtered observations into the final
-// rows. Executors differ only in how they iterate observations (and
-// what they push down); everything that decides row content, grouping,
+// The execution core shared by both executors: a compiled plan and a
+// collector that resolves observation context (torrent metadata, peer
+// geo) and turns filtered observations into the final rows. Executors
+// differ only in how they produce batches of observations (and what
+// they push down); everything that decides row content, grouping,
 // ordering and pagination lives here once — which is what makes the
 // identical-rows contract between the in-memory and lake-backed paths
 // hold by construction rather than by accident.
@@ -10,6 +10,7 @@ package query
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -35,14 +36,11 @@ type plan struct {
 }
 
 func newPlan(q Query) (*plan, *Error) {
-	nq, err := q.normalize()
+	nq, sig, offset, err := q.normalize()
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{q: nq, minNs: math.MinInt64, maxNs: math.MaxInt64, sig: nq.sig()}
-	if p.offset, err = decodeCursor(nq.Cursor, p.sig); err != nil {
-		return nil, err
-	}
+	p := &plan{q: nq, minNs: math.MinInt64, maxNs: math.MaxInt64, sig: sig, offset: offset}
 	f := nq.Filter
 	if !f.MinTime.IsZero() {
 		p.minNs = f.MinTime.UnixNano()
@@ -102,60 +100,8 @@ func (p *plan) needsGeo() bool {
 }
 
 // ---------------------------------------------------------------------
-// Environment
+// Collector
 // ---------------------------------------------------------------------
-
-// geoRec is one cached peer-address resolution.
-type geoRec struct {
-	isp, country string
-}
-
-// envMeta is the immutable part of an environment — torrent metadata
-// pre-resolved once from the records the caller supplies, plus the geo
-// DB. It is shared across every fork of an env, so parallel workers
-// resolve publishers and categories off one table.
-type envMeta struct {
-	db   *geoip.DB
-	pubs map[int32]string // torrent ID -> publisher key
-	cats map[int32]string // torrent ID -> normalized content type
-}
-
-// env resolves observation context. Geo lookups are memoized per
-// distinct address string in a per-env map — fork gives each parallel
-// worker its own memo over the shared metadata, so no lock guards the
-// hot path.
-type env struct {
-	*envMeta
-	geo map[string]geoRec
-}
-
-func newEnv(db *geoip.DB, recs []*dataset.TorrentRecord, p *plan) *env {
-	m := &envMeta{db: db}
-	if p.needsMeta() {
-		m.pubs = make(map[int32]string, len(recs))
-		m.cats = make(map[int32]string, len(recs))
-		for _, rec := range recs {
-			tid := int32(rec.TorrentID)
-			m.pubs[tid] = publisherKey(rec)
-			m.cats[tid] = analysis.NormalizeCategory(rec.Category)
-		}
-	}
-	e := &env{envMeta: m}
-	if p.needsGeo() {
-		e.geo = make(map[string]geoRec)
-	}
-	return e
-}
-
-// fork returns an env sharing this one's metadata with its own geo
-// memo, safe to use from a different goroutine.
-func (e *env) fork() *env {
-	f := &env{envMeta: e.envMeta}
-	if e.geo != nil {
-		f.geo = make(map[string]geoRec)
-	}
-	return f
-}
 
 // publisherKey resolves a torrent record to its publisher identity, the
 // same resolution classify.BuildFacts uses: the portal username, or
@@ -170,44 +116,35 @@ func publisherKey(rec *dataset.TorrentRecord) string {
 	return ""
 }
 
-// geoOf resolves (and memoizes) one peer address. Unresolvable
-// addresses yield empty ISP/country — they match no ISP/country filter
-// and group under the "" key in both executors.
-func (e *env) geoOf(ip string) geoRec {
-	if g, ok := e.geo[ip]; ok {
-		return g
+// bitset is a set of dense IDs, grown on demand.
+type bitset []uint64
+
+func (s *bitset) add(id uint32) {
+	w := int(id >> 6)
+	if w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
 	}
-	var g geoRec
-	if addr, err := dataset.ParseIP(ip); err == nil {
-		if rec, err := e.db.Lookup(addr); err == nil {
-			g = geoRec{isp: rec.ISP, country: rec.Country}
-		}
-	}
-	e.geo[ip] = g
-	return g
+	(*s)[w] |= 1 << (id & 63)
 }
 
-// publisher returns the torrent's publisher key ("" when unknown).
-func (e *env) publisher(tid int32) string { return e.pubs[tid] }
+func (s bitset) count() int64 {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return int64(n)
+}
 
-// category returns the torrent's normalized content type ("" when the
-// torrent has no metadata record).
-func (e *env) category(tid int32) string { return e.cats[tid] }
-
-// ---------------------------------------------------------------------
-// Collector
-// ---------------------------------------------------------------------
-
-// groupState accumulates one group's aggregates. Distinct sets hold
-// intern-table indices from the collector's own table, so set entries
-// are fixed-width regardless of which executor feeds them.
+// groupState accumulates one group's aggregates. Distinct sets hold the
+// collector's dense per-query IDs, so they are the same whichever
+// executor or batch fed a row.
 type groupState struct {
 	key     string
 	obs     int64
 	seeders int64
-	ips     map[uint32]struct{}
-	tids    map[int32]struct{}
-	swarms  map[int32]map[uint32]struct{}
+	ips     bitset   // address IDs
+	tids    bitset   // torrent ordinals
+	swarms  []uint64 // (torrent ordinal, address ID) pairs, deduplicated in finish
 }
 
 // obsKey is one raw-mode row in comparable form.
@@ -218,140 +155,239 @@ type obsKey struct {
 	seeder bool
 }
 
-// collector consumes observations (any order, any partitioning),
-// applies the full filter, and produces the final deterministic rows.
-// It is not safe for concurrent use; parallel executors feed one
-// collector per worker and fold them together with merge — aggregates
-// are commutative and finish imposes the total row order, so the final
-// rows are independent of how observations were partitioned.
-type collector struct {
-	p   *plan
-	env *env
-
-	ipIDs  map[string]uint32 // collector-local address intern
-	ipStrs []string          // reverse of ipIDs, for cross-collector remap
-	groups map[string]*groupState
-	obs    []obsKey
-
-	// Key memos: grouped scans hit the same bucket/torrent keys millions
-	// of times, so render each distinct key once instead of formatting
-	// per observation.
-	bucketKeys  map[int64]string
-	torrentKeys map[int32]string
+// slot memoizes what the collector derives from one torrent ID or one
+// distinct address: the filter verdict (torrent ID and publisher, or IP,
+// ISP and country — the geo DB is consulted once per address per query)
+// and the group key, with its group once a row has reached it.
+type slot struct {
+	drop bool
+	key  string
+	g    *groupState
 }
 
-func newCollector(p *plan, env *env) *collector {
-	c := &collector{p: p, env: env}
-	if p.q.Select == SelectObservations {
-		return c
-	}
-	c.groups = make(map[string]*groupState)
-	if p.wantIPs || p.wantSwarm {
-		c.ipIDs = make(map[string]uint32)
+// Where a row's group comes from.
+const (
+	keyConst   = iota // the single "" group
+	keyTorrent        // torrent, publisher, content type
+	keyAddr           // ISP, country
+	keyBucket         // time bucket
+)
+
+// denseTIDs bounds the torrent IDs memoized in a slice indexed by ID;
+// larger IDs fall back to a map.
+const denseTIDs = 1 << 20
+
+// collector consumes observations one batch at a time, applies the full
+// filter, and produces the final deterministic rows. A batch is a run of
+// rows sharing one address intern table; the collector remaps the
+// table's indices to dense per-query address IDs once per distinct
+// address, so no per-row work hashes a string. Aggregates are
+// commutative and finish imposes the total row order, so the rows are
+// independent of batch order. It is not safe for concurrent use:
+// parallel scans decode concurrently and feed one collector in turn.
+type collector struct {
+	p        *plan
+	db       *geoip.DB
+	pubs     map[int32]string // torrent ID -> publisher key
+	cats     map[int32]string // torrent ID -> normalized content type
+	keyFrom  int
+	needAddr bool // rows resolve to address IDs (distinct sets, IP or geo filter/key)
+
+	// Torrent slots, indexed by a dense per-query torrent ordinal.
+	tidSlot  []int32         // torrent ID -> 1 + ordinal (0 = unseen), for IDs < denseTIDs
+	tidBig   map[int32]int32 // torrent ID -> ordinal, for the rest
+	torrents []slot
+
+	// Address slots, indexed by a dense per-query address ID.
+	ipStr func(uint32) string // the current batch's intern table
+	remap []uint32            // batch intern index -> 1 + address ID (0 = unseen)
+	ipIDs map[string]uint32   // address -> ID, across batches
+	addrs []slot
+
+	groups     map[string]*groupState
+	lastG      *groupState // the const group, or the last time bucket's
+	lastBucket int64
+	obs        []obsKey
+}
+
+func newCollector(p *plan, db *geoip.DB, recs []*dataset.TorrentRecord) *collector {
+	c := &collector{p: p, db: db, groups: make(map[string]*groupState)}
+	if p.needsMeta() {
+		c.pubs = make(map[int32]string, len(recs))
+		c.cats = make(map[int32]string, len(recs))
+		for _, rec := range recs {
+			tid := int32(rec.TorrentID)
+			c.pubs[tid] = publisherKey(rec)
+			c.cats[tid] = analysis.NormalizeCategory(rec.Category)
+		}
 	}
 	switch p.q.GroupBy.Key {
+	case ByTorrent, ByPublisher, ByContentType:
+		c.keyFrom = keyTorrent
+	case ByISP, ByCountry:
+		c.keyFrom = keyAddr
 	case ByTimeBucket:
-		c.bucketKeys = make(map[int64]string)
-	case ByTorrent:
-		c.torrentKeys = make(map[int32]string)
+		c.keyFrom = keyBucket
+	}
+	c.needAddr = p.ips != nil || p.needsGeo() || p.wantIPs || p.wantSwarm
+	if c.needAddr {
+		c.ipIDs = make(map[string]uint32)
 	}
 	return c
 }
 
-// add offers one observation. The full filter is applied here — an
-// executor's pushdown only narrows what reaches add, never replaces a
-// check — so both executors accept exactly the same rows.
-func (c *collector) add(tid int32, ip string, atNs int64, seeder bool) {
+// setTable starts a batch whose rows index an intern table of n
+// addresses, resolved by str.
+func (c *collector) setTable(n int, str func(uint32) string) {
+	c.ipStr = str
+	if c.needAddr {
+		c.remap = append(c.remap[:0], make([]uint32, n)...)
+	}
+}
+
+// add offers one row of the current batch; idx indexes the batch's
+// intern table. The full filter is applied here — an executor's pushdown
+// only narrows what reaches add, never replaces a check — so both
+// executors accept exactly the same rows.
+func (c *collector) add(tid int32, idx uint32, atNs int64, seeder bool) {
 	p := c.p
-	if atNs < p.minNs || atNs > p.maxNs {
+	if atNs < p.minNs || atNs > p.maxNs || (p.q.Filter.SeedersOnly && !seeder) {
 		return
 	}
-	if p.tids != nil && !p.tids[tid] {
+	var ord uint32
+	if i := uint32(tid); i < uint32(len(c.tidSlot)) && c.tidSlot[i] != 0 {
+		ord = uint32(c.tidSlot[i] - 1)
+	} else {
+		ord = c.torrent(tid)
+	}
+	t := &c.torrents[ord]
+	if t.drop {
 		return
 	}
-	if p.q.Filter.SeedersOnly && !seeder {
-		return
-	}
-	if p.ips != nil && !p.ips[ip] {
-		return
-	}
-	if p.pubs != nil && !p.pubs[c.env.publisher(tid)] {
-		return
-	}
-	var g geoRec
-	geoDone := false
-	if p.isps != nil || p.countries != nil {
-		g = c.env.geoOf(ip)
-		geoDone = true
-		if p.isps != nil && !p.isps[g.isp] {
-			return
+	var id uint32
+	if c.needAddr {
+		if id = c.remap[idx]; id == 0 {
+			id = c.addr(idx)
 		}
-		if p.countries != nil && !p.countries[g.country] {
+		id--
+		if c.addrs[id].drop {
 			return
 		}
 	}
 
 	if p.q.Select == SelectObservations {
-		c.obs = append(c.obs, obsKey{atNs: atNs, ip: ip, tid: tid, seeder: seeder})
+		c.obs = append(c.obs, obsKey{atNs: atNs, ip: c.ipStr(idx), tid: tid, seeder: seeder})
 		return
 	}
 
-	var key string
-	switch p.q.GroupBy.Key {
-	case ByPublisher:
-		key = c.env.publisher(tid)
-	case ByISP:
-		if !geoDone {
-			g = c.env.geoOf(ip)
-		}
-		key = g.isp
-	case ByCountry:
-		if !geoDone {
-			g = c.env.geoOf(ip)
-		}
-		key = g.country
-	case ByTorrent:
-		var ok bool
-		if key, ok = c.torrentKeys[tid]; !ok {
-			key = torrentKey(tid)
-			c.torrentKeys[tid] = key
-		}
-	case ByContentType:
-		key = c.env.category(tid)
-	case ByTimeBucket:
+	var gs *groupState
+	switch c.keyFrom {
+	case keyTorrent:
+		gs = c.slotGroup(t)
+	case keyAddr:
+		gs = c.slotGroup(&c.addrs[id])
+	case keyBucket:
 		b := atNs / p.bucketNs
 		if atNs%p.bucketNs < 0 { // floor division for pre-1970 instants
 			b--
 		}
-		var ok bool
-		if key, ok = c.bucketKeys[b]; !ok {
-			key = nsTime(b * p.bucketNs).Format(timeKeyFormat)
-			c.bucketKeys[b] = key
+		if gs = c.lastG; gs == nil || b != c.lastBucket {
+			gs = c.group(nsTime(b * p.bucketNs).Format(timeKeyFormat))
+			c.lastG, c.lastBucket = gs, b
+		}
+	default:
+		if gs = c.lastG; gs == nil {
+			gs = c.group("")
+			c.lastG = gs
 		}
 	}
 
-	gs := c.group(key)
 	gs.obs++
 	if seeder {
 		gs.seeders++
 	}
-	if p.wantIPs || p.wantSwarm {
-		id := c.internIP(ip)
-		if p.wantIPs {
-			gs.ips[id] = struct{}{}
-		}
-		if p.wantSwarm {
-			sw := gs.swarms[tid]
-			if sw == nil {
-				sw = map[uint32]struct{}{}
-				gs.swarms[tid] = sw
-			}
-			sw[id] = struct{}{}
-		}
+	if p.wantIPs {
+		gs.ips.add(id)
 	}
 	if p.wantTorrents {
-		gs.tids[tid] = struct{}{}
+		gs.tids.add(ord)
 	}
+	if p.wantSwarm {
+		gs.swarms = append(gs.swarms, uint64(ord)<<32|uint64(id))
+	}
+}
+
+// torrent returns tid's ordinal, creating its slot on first sight.
+func (c *collector) torrent(tid int32) uint32 {
+	dense := uint32(tid) < denseTIDs
+	if !dense {
+		if ord, ok := c.tidBig[tid]; ok {
+			return uint32(ord)
+		}
+	}
+	p := c.p
+	t := slot{drop: (p.tids != nil && !p.tids[tid]) || (p.pubs != nil && !p.pubs[c.pubs[tid]])}
+	switch p.q.GroupBy.Key {
+	case ByTorrent:
+		t.key = torrentKey(tid)
+	case ByPublisher:
+		t.key = c.pubs[tid]
+	case ByContentType:
+		t.key = c.cats[tid]
+	}
+	ord := int32(len(c.torrents))
+	c.torrents = append(c.torrents, t)
+	if dense {
+		if n := int(tid) + 1; n > len(c.tidSlot) {
+			c.tidSlot = append(c.tidSlot, make([]int32, n-len(c.tidSlot))...)
+		}
+		c.tidSlot[tid] = ord + 1
+	} else {
+		if c.tidBig == nil {
+			c.tidBig = make(map[int32]int32)
+		}
+		c.tidBig[tid] = ord
+	}
+	return uint32(ord)
+}
+
+// addr maps the current batch's intern index to 1 + its address ID,
+// creating the address's slot on first sight. Unresolvable addresses
+// yield empty ISP/country — they match no ISP/country filter and group
+// under the "" key in both executors.
+func (c *collector) addr(idx uint32) uint32 {
+	s := c.ipStr(idx)
+	id, ok := c.ipIDs[s]
+	if !ok {
+		p := c.p
+		id = uint32(len(c.addrs))
+		c.ipIDs[s] = id
+		a := slot{drop: p.ips != nil && !p.ips[s]}
+		if p.needsGeo() {
+			var rec geoip.Record
+			if addr, err := dataset.ParseIP(s); err == nil {
+				rec, _ = c.db.Lookup(addr)
+			}
+			a.drop = a.drop || (p.isps != nil && !p.isps[rec.ISP]) || (p.countries != nil && !p.countries[rec.Country])
+			a.key = rec.ISP
+			if p.q.GroupBy.Key == ByCountry {
+				a.key = rec.Country
+			}
+		}
+		c.addrs = append(c.addrs, a)
+	}
+	c.remap[idx] = id + 1
+	return id + 1
+}
+
+// slotGroup returns the group of a slot's key, creating it on the first
+// row that reaches it — never earlier, so a group exists only if some row
+// matched the whole filter.
+func (c *collector) slotGroup(s *slot) *groupState {
+	if s.g == nil {
+		s.g = c.group(s.key)
+	}
+	return s.g
 }
 
 // group finds or creates one group's accumulator.
@@ -359,61 +395,9 @@ func (c *collector) group(key string) *groupState {
 	gs := c.groups[key]
 	if gs == nil {
 		gs = &groupState{key: key}
-		if c.p.wantIPs {
-			gs.ips = map[uint32]struct{}{}
-		}
-		if c.p.wantTorrents {
-			gs.tids = map[int32]struct{}{}
-		}
-		if c.p.wantSwarm {
-			gs.swarms = map[int32]map[uint32]struct{}{}
-		}
 		c.groups[key] = gs
 	}
 	return gs
-}
-
-func (c *collector) internIP(ip string) uint32 {
-	if id, ok := c.ipIDs[ip]; ok {
-		return id
-	}
-	id := uint32(len(c.ipIDs))
-	c.ipIDs[ip] = id
-	c.ipStrs = append(c.ipStrs, ip)
-	return id
-}
-
-// merge folds another collector's partial state into this one. Distinct
-// sets carry the other collector's local intern IDs, so entries are
-// re-interned through this collector's table; counts add, sets union —
-// the result is exactly what one collector fed every observation would
-// hold.
-func (c *collector) merge(o *collector) {
-	if c.p.q.Select == SelectObservations {
-		c.obs = append(c.obs, o.obs...)
-		return
-	}
-	for key, og := range o.groups {
-		gs := c.group(key)
-		gs.obs += og.obs
-		gs.seeders += og.seeders
-		for id := range og.ips {
-			gs.ips[c.internIP(o.ipStrs[id])] = struct{}{}
-		}
-		for tid := range og.tids {
-			gs.tids[tid] = struct{}{}
-		}
-		for tid, sw := range og.swarms {
-			dst := gs.swarms[tid]
-			if dst == nil {
-				dst = map[uint32]struct{}{}
-				gs.swarms[tid] = dst
-			}
-			for id := range sw {
-				dst[c.internIP(o.ipStrs[id])] = struct{}{}
-			}
-		}
-	}
 }
 
 // finish sorts, paginates and renders the result.
@@ -476,17 +460,11 @@ func (c *collector) finishGroups() (*Result, error) {
 			case AggSeeders:
 				aggs[a] = gs.seeders
 			case AggDistinctIPs:
-				aggs[a] = int64(len(gs.ips))
+				aggs[a] = gs.ips.count()
 			case AggTorrents:
-				aggs[a] = int64(len(gs.tids))
+				aggs[a] = gs.tids.count()
 			case AggMaxSwarm:
-				max := 0
-				for _, sw := range gs.swarms {
-					if len(sw) > max {
-						max = len(sw)
-					}
-				}
-				aggs[a] = int64(max)
+				aggs[a] = maxSwarm(gs.swarms)
 			}
 		}
 		rows = append(rows, GroupRow{Key: gs.key, Aggs: aggs})
@@ -519,6 +497,22 @@ func (c *collector) finishGroups() (*Result, error) {
 		res.Groups = rows[lo:hi]
 	}
 	return res, nil
+}
+
+// maxSwarm returns the largest number of distinct addresses any one
+// torrent holds among (torrent ordinal, address ID) pairs.
+func maxSwarm(pairs []uint64) int64 {
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	var best, run int64
+	for i, v := range pairs {
+		if i > 0 && v>>32 != pairs[i-1]>>32 {
+			run = 0
+		}
+		run++
+		best = max(best, run)
+	}
+	return best
 }
 
 // page resolves the cursor offset and limit against n total rows.

@@ -4,12 +4,11 @@
 // segments on zone maps and microindex postings and order the row
 // predicates cheapest-column-first; publisher filters resolve into
 // torrent-ID sets from the lake's metadata records. Execution
-// partitions the surviving segments across per-segment scan workers,
-// each feeding its own lock-free collector; the partial collectors are
-// merged into one and finished there, so the final rows are — by
-// construction — byte-identical to a serial scan feeding a single
-// collector. A grouped aggregate over a million-observation lake never
-// materializes a dataset.
+// partitions the surviving segments across scan workers that decode and
+// match them in parallel; every matched segment then feeds one
+// collector as a batch, under a lock, so the final rows are — by
+// construction — byte-identical to a serial scan. A grouped aggregate
+// over a million-observation lake never materializes a dataset.
 package query
 
 import (
@@ -100,33 +99,24 @@ func (e *Lake) Execute(ctx context.Context, q Query) (*Result, error) {
 	if perr != nil {
 		return nil, perr
 	}
-	pred := compilePred(p, recs)
-	env := newEnv(e.db, recs, p)
-
-	// One collector per scan worker: ScanWorkers guarantees at most one
-	// in-flight callback per worker index, so no lock guards add(); the
-	// partials are folded together once the scan completes.
-	nw := e.resolveWorkers()
-	parts := make([]*collector, nw)
-	parts[0] = newCollector(p, env)
-	for i := 1; i < nw; i++ {
-		parts[i] = newCollector(p, env.fork())
-	}
-	err := e.lk.ScanWorkers(ctx, pred, nw, func(w int, b *lake.Batch) error {
-		c := parts[w]
+	// Scan workers decode and match segments in parallel; each matched
+	// batch then feeds the one collector in turn.
+	c := newCollector(p, e.db, recs)
+	var mu sync.Mutex
+	err := e.lk.ScanWorkers(ctx, compilePred(p, recs), e.resolveWorkers(), func(_ int, b *lake.Batch) error {
+		mu.Lock()
+		defer mu.Unlock()
+		ips := b.IPs()
+		c.setTable(len(ips), func(i uint32) string { return ips[i] })
 		for k := 0; k < b.Len(); k++ {
-			c.add(int32(b.TorrentID(k)), b.IP(k), b.UnixNano(k), b.Seeder(k))
+			c.add(int32(b.TorrentID(k)), b.IPIndex(k), b.UnixNano(k), b.Seeder(k))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, mapLakeErr(err)
 	}
-	root := parts[0]
-	for _, o := range parts[1:] {
-		root.merge(o)
-	}
-	return root.finish()
+	return c.finish()
 }
 
 // Explain describes how Execute would answer the query without reading

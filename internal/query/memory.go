@@ -45,8 +45,10 @@ func (m *Memory) Execute(ctx context.Context, q Query) (*Result, error) {
 	if p.needsMeta() {
 		recs = m.ds.Torrents
 	}
-	c := newCollector(p, newEnv(m.db, recs, p))
+	// The whole store is one batch over its intern table.
+	c := newCollector(p, m.db, recs)
 	store := &m.ds.Obs
+	c.setTable(store.IPs().Len(), store.IPs().String)
 
 	if p.tids != nil {
 		// Pushdown: walk only the filtered torrents' index spans.
@@ -55,7 +57,7 @@ func (m *Memory) Execute(ctx context.Context, q Query) (*Result, error) {
 		for tid := range p.tids {
 			for _, oi := range ix.Span(int(tid)) {
 				i := int(oi)
-				c.add(int32(store.TorrentID(i)), store.IPString(i), store.UnixNano(i), store.Seeder(i))
+				c.add(int32(store.TorrentID(i)), store.IPIndex(i), store.UnixNano(i), store.Seeder(i))
 				if n++; n%checkEvery == 0 && ctx.Err() != nil {
 					return nil, ctx.Err()
 				}
@@ -65,7 +67,7 @@ func (m *Memory) Execute(ctx context.Context, q Query) (*Result, error) {
 	}
 
 	for i := 0; i < store.Len(); i++ {
-		c.add(int32(store.TorrentID(i)), store.IPString(i), store.UnixNano(i), store.Seeder(i))
+		c.add(int32(store.TorrentID(i)), store.IPIndex(i), store.UnixNano(i), store.Seeder(i))
 		if i%checkEvery == checkEvery-1 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}

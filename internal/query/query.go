@@ -220,32 +220,32 @@ var validGroupKeys = map[string]bool{
 // Validate checks the query. The returned error, when non-nil, is always
 // a *Error.
 func (q Query) Validate() error {
-	_, err := q.normalize()
-	if err != nil {
+	if _, _, _, err := q.normalize(); err != nil {
 		return err
 	}
 	return nil
 }
 
 // normalize validates and fills defaults (Select, Aggs), returning the
-// canonical form shared by both executors.
-func (q Query) normalize() (Query, *Error) {
+// canonical form shared by both executors together with its cursor
+// signature and the decoded cursor offset.
+func (q Query) normalize() (Query, uint64, int, *Error) {
 	switch q.Select {
 	case "":
 		q.Select = SelectGroups
 	case SelectGroups, SelectObservations:
 	default:
-		return q, badf("bad_query", "select must be %q or %q (got %q)", SelectGroups, SelectObservations, q.Select)
+		return q, 0, 0, badf("bad_query", "select must be %q or %q (got %q)", SelectGroups, SelectObservations, q.Select)
 	}
 
 	f := q.Filter
 	if !f.MinTime.IsZero() && !f.MaxTime.IsZero() && f.MinTime.After(f.MaxTime) {
-		return q, badf("bad_query", "filter.min_time %s is after filter.max_time %s",
+		return q, 0, 0, badf("bad_query", "filter.min_time %s is after filter.max_time %s",
 			f.MinTime.Format(time.RFC3339), f.MaxTime.Format(time.RFC3339))
 	}
 	for _, id := range f.TorrentIDs {
 		if id < 0 {
-			return q, badf("bad_query", "filter.torrent_ids must be non-negative (got %d)", id)
+			return q, 0, 0, badf("bad_query", "filter.torrent_ids must be non-negative (got %d)", id)
 		}
 	}
 	for _, set := range []struct {
@@ -254,30 +254,30 @@ func (q Query) normalize() (Query, *Error) {
 	}{{"publishers", f.Publishers}, {"ips", f.IPs}, {"isps", f.ISPs}, {"countries", f.Countries}} {
 		for _, v := range set.vals {
 			if v == "" {
-				return q, badf("bad_query", "filter.%s must not contain empty strings", set.name)
+				return q, 0, 0, badf("bad_query", "filter.%s must not contain empty strings", set.name)
 			}
 		}
 	}
 
 	if q.Select == SelectObservations {
 		if q.GroupBy != (GroupBy{}) {
-			return q, badf("bad_query", "group_by is not allowed with select %q", SelectObservations)
+			return q, 0, 0, badf("bad_query", "group_by is not allowed with select %q", SelectObservations)
 		}
 		if len(q.Aggs) > 0 {
-			return q, badf("bad_query", "aggs are not allowed with select %q", SelectObservations)
+			return q, 0, 0, badf("bad_query", "aggs are not allowed with select %q", SelectObservations)
 		}
 		if q.OrderBy != (OrderBy{}) {
-			return q, badf("bad_query", "order_by is not allowed with select %q (rows come in time order)", SelectObservations)
+			return q, 0, 0, badf("bad_query", "order_by is not allowed with select %q (rows come in time order)", SelectObservations)
 		}
 	} else {
 		if !validGroupKeys[q.GroupBy.Key] {
-			return q, badf("bad_query", "unknown group_by.key %q", q.GroupBy.Key)
+			return q, 0, 0, badf("bad_query", "unknown group_by.key %q", q.GroupBy.Key)
 		}
 		if q.GroupBy.Key == ByTimeBucket && q.GroupBy.Bucket <= 0 {
-			return q, badf("bad_query", "group_by.bucket must be positive with key %q", ByTimeBucket)
+			return q, 0, 0, badf("bad_query", "group_by.bucket must be positive with key %q", ByTimeBucket)
 		}
 		if q.GroupBy.Key != ByTimeBucket && q.GroupBy.Bucket != 0 {
-			return q, badf("bad_query", "group_by.bucket is only allowed with key %q", ByTimeBucket)
+			return q, 0, 0, badf("bad_query", "group_by.bucket is only allowed with key %q", ByTimeBucket)
 		}
 		if len(q.Aggs) == 0 {
 			q.Aggs = []string{AggObservations}
@@ -285,30 +285,29 @@ func (q Query) normalize() (Query, *Error) {
 		seen := map[string]bool{}
 		for _, a := range q.Aggs {
 			if !validAggs[a] {
-				return q, badf("bad_query", "unknown aggregate %q", a)
+				return q, 0, 0, badf("bad_query", "unknown aggregate %q", a)
 			}
 			if seen[a] {
-				return q, badf("bad_query", "duplicate aggregate %q", a)
+				return q, 0, 0, badf("bad_query", "duplicate aggregate %q", a)
 			}
 			seen[a] = true
 		}
 		if of := q.OrderBy.Field; of != "" && of != "key" && !seen[of] {
-			return q, badf("bad_query", "order_by.field %q is neither \"key\" nor a requested aggregate", of)
+			return q, 0, 0, badf("bad_query", "order_by.field %q is neither \"key\" nor a requested aggregate", of)
 		}
 	}
 
 	if q.Limit < 0 {
-		return q, badf("bad_query", "limit must be non-negative (got %d)", q.Limit)
+		return q, 0, 0, badf("bad_query", "limit must be non-negative (got %d)", q.Limit)
 	}
 	if q.Limit > MaxLimit {
-		return q, badf("bad_query", "limit %d exceeds the maximum %d", q.Limit, MaxLimit)
+		return q, 0, 0, badf("bad_query", "limit %d exceeds the maximum %d", q.Limit, MaxLimit)
 	}
 	// The signature covers the normalized query (defaults filled), so a
 	// cursor stays valid whether the client spelled the defaults out.
-	if _, err := decodeCursor(q.Cursor, q.sig()); err != nil {
-		return q, err
-	}
-	return q, nil
+	sig := q.sig()
+	offset, err := decodeCursor(q.Cursor, sig)
+	return q, sig, offset, err
 }
 
 // Decode parses and validates a JSON query. Unknown fields and trailing

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -279,5 +280,42 @@ func TestCursorPaginationRoundTrip(t *testing.T) {
 	b, _ := json.Marshal(walked)
 	if string(a) != string(b) {
 		t.Fatalf("walked pages != full result:\n%s\n%s", a, b)
+	}
+}
+
+// TestTorrentIDsPastDenseMemo covers torrent IDs the collector memoizes
+// through its map rather than its ID-indexed slice.
+func TestTorrentIDsPastDenseMemo(t *testing.T) {
+	ds := &dataset.Dataset{Name: "big-ids", Start: qT0, End: qT0.Add(time.Hour)}
+	tids := []int{3, denseTIDs, 1<<31 - 1, denseTIDs, 3, 1<<31 - 1, 1<<31 - 1}
+	for i, tid := range tids {
+		ds.AddObservation(dataset.Observation{TorrentID: tid, IP: fmt.Sprintf("1.1.1.%d", i%3), At: qT0.Add(time.Duration(i) * time.Minute)})
+	}
+	db, err := geoip.DefaultDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := NewMemory(ds, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mem.Execute(context.Background(), Query{
+		GroupBy: GroupBy{Key: ByTorrent},
+		Aggs:    []string{AggObservations, AggDistinctIPs, AggTorrents},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][3]int64{}
+	for _, g := range res.Groups {
+		got[g.Key] = [3]int64{g.Aggs[AggObservations], g.Aggs[AggDistinctIPs], g.Aggs[AggTorrents]}
+	}
+	want := map[string][3]int64{
+		"3":                   {2, 2, 1}, // rows 0, 4: 1.1.1.0, 1.1.1.1
+		fmt.Sprint(denseTIDs): {2, 2, 1}, // rows 1, 3: 1.1.1.1, 1.1.1.0
+		fmt.Sprint(1<<31 - 1): {3, 2, 1}, // rows 2, 5, 6: 1.1.1.2, 1.1.1.2, 1.1.1.0
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("groups = %v, want %v", got, want)
 	}
 }

@@ -115,10 +115,11 @@ func BenchmarkQueryLakeSerial(b *testing.B) {
 }
 
 // BenchmarkQueryLakeParallel runs the identical full-lake grouped
-// aggregate with GOMAXPROCS scan workers (per-segment partitioning, one
-// collector per worker, deterministic merge). Results are byte-identical
-// to the serial run — TestExecutorEquivalence enforces that — so the
-// ns/op ratio between this pair is pure scan-parallelism speedup.
+// aggregate with GOMAXPROCS scan workers (segments decoded and matched
+// in parallel, every batch feeding one collector). Results are
+// byte-identical to the serial run — TestExecutorEquivalence enforces
+// that — so the ns/op ratio between this pair is pure decode-parallelism
+// speedup.
 func BenchmarkQueryLakeParallel(b *testing.B) {
 	_, ex := queryBenchLake(b)
 	benchQuery(b, ex, queryBenchFullQuery())
